@@ -181,12 +181,34 @@ fn bench_rng(c: &mut Criterion) {
 
 fn bench_partitioner(c: &mut Criterion) {
     use clustering::{partition, CommGraph, PartitionConfig};
-    use workloads::{NasBench, NasConfig};
-    let app = NasBench::CG.build(&NasConfig::test(256, 2));
-    let graph = CommGraph::from_application(&app);
-    c.bench_function("partition_cg_256_k16", |b| {
-        b.iter(|| black_box(partition(&graph, &PartitionConfig::balanced(16, 256))))
-    });
+    use workloads::{NasBench, NasConfig, WorkloadSpec};
+    // CG is sparse (a few partners per rank), FT is all-to-all (the
+    // densest Table-I graph) and the 1024-rank stencil is the sweep's
+    // `part64` cell: the three shapes the agglomeration must not lose on.
+    let cases = [
+        (
+            "partition_cg_256_k16",
+            NasBench::CG.build(&NasConfig::test(256, 2)),
+            16,
+        ),
+        (
+            "partition_ft_256_k2",
+            NasBench::FT.build(&NasConfig::test(256, 2)),
+            2,
+        ),
+        (
+            "partition_stencil1024_k64",
+            WorkloadSpec::parse("stencil:1024x50:face=4096:compute_us=100")
+                .expect("registry name")
+                .build(),
+            64,
+        ),
+    ];
+    for (name, app, k) in cases {
+        let graph = CommGraph::from_application(&app);
+        let cfg = PartitionConfig::balanced(k, app.n_ranks());
+        c.bench_function(name, |b| b.iter(|| black_box(partition(&graph, &cfg))));
+    }
 }
 
 fn ping_pong_app(rounds: usize) -> Application {

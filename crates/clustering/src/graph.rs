@@ -2,85 +2,97 @@
 //!
 //! The paper's clustering tool (Ropars et al. \[28\]) consumes "a graph
 //! defining the amount of data sent in each application channel",
-//! collected by instrumenting MPICH2. We build the same graph two ways:
-//!
-//! * from a [`mps_sim::CommMatrix`] produced by actually running the
-//!   application (the paper's method), or
-//! * statically from an [`mps_sim::Application`]'s op streams (no run
-//!   needed — our programs declare their traffic).
+//! collected by instrumenting MPICH2. We build the same graph statically
+//! from an [`mps_sim::Application`]'s op streams: no run is needed,
+//! because our programs declare their traffic.
 
-use mps_sim::{Application, CommMatrix, Rank};
+use mps_sim::{Application, Rank};
 
-/// Undirected weighted communication graph over ranks.
+/// Undirected weighted communication graph over ranks, stored as
+/// per-rank sparse adjacency: memory O(ranks + communicating pairs).
 #[derive(Debug, Clone)]
 pub struct CommGraph {
-    n: usize,
-    /// Symmetric weights, row-major; `w[i*n+j]` = bytes exchanged between
-    /// i and j (both directions).
-    w: Vec<u64>,
+    /// `adj[i]` = `(j, bytes exchanged between i and j, both
+    /// directions)` for every `j != i` with nonzero traffic, ascending
+    /// in `j`. Symmetric: `(j, w)` in `adj[i]` iff `(i, w)` in `adj[j]`.
+    adj: Vec<Vec<(u32, u64)>>,
+    /// Sum of all pair weights (each undirected pair counted once).
+    total: u64,
 }
 
 impl CommGraph {
     pub fn new(n: usize) -> Self {
         CommGraph {
-            n,
-            w: vec![0; n * n],
+            adj: vec![Vec::new(); n],
+            total: 0,
         }
     }
 
     pub fn n_ranks(&self) -> usize {
-        self.n
+        self.adj.len()
     }
 
     /// Add `bytes` of traffic between `a` and `b` (order irrelevant).
     pub fn add(&mut self, a: Rank, b: Rank, bytes: u64) {
-        if a == b {
+        if a == b || bytes == 0 {
             return;
         }
-        self.w[a.idx() * self.n + b.idx()] += bytes;
-        self.w[b.idx() * self.n + a.idx()] += bytes;
+        for (row, col) in [(a, b), (b, a)] {
+            let row = &mut self.adj[row.idx()];
+            match row.binary_search_by_key(&col.0, |&(j, _)| j) {
+                Ok(p) => row[p].1 += bytes,
+                Err(p) => row.insert(p, (col.0, bytes)),
+            }
+        }
+        self.total += bytes;
     }
 
     #[inline]
     pub fn weight(&self, a: Rank, b: Rank) -> u64 {
-        self.w[a.idx() * self.n + b.idx()]
+        let row = &self.adj[a.idx()];
+        match row.binary_search_by_key(&b.0, |&(j, _)| j) {
+            Ok(p) => row[p].1,
+            Err(_) => 0,
+        }
     }
 
     /// Total traffic (each undirected pair counted once).
     pub fn total(&self) -> u64 {
-        self.w.iter().sum::<u64>() / 2
-    }
-
-    /// Build from a measured communication matrix.
-    pub fn from_matrix(m: &CommMatrix) -> Self {
-        let mut g = CommGraph::new(m.n_ranks());
-        for (src, dst, bytes, _msgs) in m.channels() {
-            g.add(src, dst, bytes);
-        }
-        g
+        self.total
     }
 
     /// Build statically from an application's programs, streaming each
     /// rank's aggregated send totals — closed form for generated
     /// programs, so graph extraction is O(ranks × pattern), not
-    /// O(ranks × pattern × iterations).
+    /// O(ranks × pattern × iterations). Rows are collected unsorted and
+    /// coalesced once, so arrival order of the chunks costs nothing.
     pub fn from_application(app: &Application) -> Self {
-        let mut g = CommGraph::new(app.n_ranks());
-        app.send_summary(|src, dst, bytes, _msgs| g.add(src, dst, bytes));
-        g
+        let mut adj: Vec<Vec<(u32, u64)>> = vec![Vec::new(); app.n_ranks()];
+        let mut total = 0u64;
+        app.send_summary(|src, dst, bytes, _msgs| {
+            if src != dst && bytes > 0 {
+                adj[src.idx()].push((dst.0, bytes));
+                adj[dst.idx()].push((src.0, bytes));
+                total += bytes;
+            }
+        });
+        for row in &mut adj {
+            row.sort_unstable_by_key(|&(j, _)| j);
+            row.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
+                }
+                same
+            });
+            row.shrink_to_fit();
+        }
+        CommGraph { adj, total }
     }
 
-    /// Neighbours of `r` with nonzero weight.
+    /// Neighbours of `r` with nonzero weight, ascending by rank.
     pub fn neighbors(&self, r: Rank) -> impl Iterator<Item = (Rank, u64)> + '_ {
-        let base = r.idx() * self.n;
-        (0..self.n).filter_map(move |j| {
-            let w = self.w[base + j];
-            if w > 0 {
-                Some((Rank(j as u32), w))
-            } else {
-                None
-            }
-        })
+        self.adj[r.idx()].iter().map(|&(j, w)| (Rank(j), w))
     }
 }
 

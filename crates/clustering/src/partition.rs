@@ -14,10 +14,13 @@
 //!    clusters whenever that strictly reduces the edge cut and respects
 //!    the size bound.
 //!
-//! Both phases are deterministic (ties break toward smaller indices).
+//! Both phases are deterministic; the tie-break contract and the
+//! complexity are stated in DESIGN.md §2.10.
 
 use crate::graph::CommGraph;
 use mps_sim::{ClusterMap, Rank};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// Partitioning constraints.
 #[derive(Debug, Clone, Copy)]
@@ -72,90 +75,240 @@ pub fn partition(graph: &CommGraph, cfg: &PartitionConfig) -> ClusterMap {
     ClusterMap::new(compact_ids(assignment))
 }
 
+/// A feasible positive-traffic merge `(a, b)`, `a < b`, in the greedy
+/// phase's lazy max-heap, pushed by `owner` (one of `a`, `b`) as the best
+/// of the pairs it owns. The derived order is the merge priority:
+/// heaviest traffic, then smallest merged size, then smallest `a`, then
+/// smallest `b`. The last two fields only order copies of one pair.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Candidate {
+    weight: u64,
+    merged: Reverse<usize>,
+    a: Reverse<u32>,
+    b: Reverse<u32>,
+    owner: u32,
+    /// Stamps of `a` and `b` at push time.
+    stamps: (u32, u32),
+}
+
+/// Greedy agglomeration state.
+///
+/// A cluster's id is its smallest rank, which is also its union-find
+/// root: a merge always folds the larger id into the smaller. A cluster
+/// *changes* when it absorbs another; its stamp is bumped then (and when
+/// it is absorbed), and every pair whose weight or merged size moved
+/// involves the cluster that just changed.
+///
+/// Each pair is **owned** by the endpoint that changed last (ties: the
+/// larger id), and each live cluster keeps at most one heap entry: the
+/// best feasible positive pair among those it owns. A change hands the
+/// changed cluster all of its pairs, so its entry is recomputed exactly;
+/// every other cluster only ever loses pairs, so its entry stays an upper
+/// bound on its best and is recomputed when it surfaces stale. The top
+/// live entry is therefore the best pair overall. Sizes only grow, so a
+/// pair over the size bound never becomes feasible again.
+struct Agglomeration {
+    max_size: usize,
+    parent: Vec<u32>,
+    size: Vec<usize>,
+    stamp: Vec<u32>,
+    /// Merge count at the cluster's last change (0 = never changed).
+    age: Vec<u32>,
+    /// Live clusters' traffic rows. Entries may name clusters that have
+    /// since changed or been absorbed; a row is resolved through
+    /// `parent` and coalesced whenever its own cluster changes.
+    rows: Vec<Vec<(u32, u64)>>,
+    heap: BinaryHeap<Candidate>,
+    /// Live clusters by `(size, id)`, for the zero-traffic fallback.
+    by_size: BTreeSet<(usize, u32)>,
+    /// Scratch: position of a cluster in the row being rebuilt.
+    slot: Vec<u32>,
+}
+
+impl Agglomeration {
+    fn new(graph: &CommGraph, max_size: usize) -> Self {
+        let n = graph.n_ranks();
+        let mut ag = Agglomeration {
+            max_size,
+            parent: (0..n as u32).collect(),
+            size: vec![1; n],
+            stamp: vec![0; n],
+            age: vec![0; n],
+            rows: (0..n)
+                .map(|r| {
+                    graph
+                        .neighbors(Rank(r as u32))
+                        .map(|(j, w)| (j.0, w))
+                        .collect()
+                })
+                .collect(),
+            heap: BinaryHeap::with_capacity(n),
+            by_size: (0..n as u32).map(|c| (1, c)).collect(),
+            slot: vec![u32::MAX; n],
+        };
+        for c in 0..n {
+            ag.push_best(c);
+        }
+        ag
+    }
+
+    /// Push `c`'s best feasible positive pair among the pairs it owns.
+    fn push_best(&mut self, c: usize) {
+        let me = (self.age[c], c as u32);
+        let best = self.rows[c]
+            .iter()
+            .filter(|&&(j, _)| self.parent[j as usize] == j && (self.age[j as usize], j) < me)
+            .filter_map(|&(j, w)| {
+                let merged = self.size[c] + self.size[j as usize];
+                (merged <= self.max_size).then(|| {
+                    let (a, b) = (j.min(c as u32), j.max(c as u32));
+                    Candidate {
+                        weight: w,
+                        merged: Reverse(merged),
+                        a: Reverse(a),
+                        b: Reverse(b),
+                        owner: c as u32,
+                        stamps: (self.stamp[a as usize], self.stamp[b as usize]),
+                    }
+                })
+            })
+            .max();
+        self.heap.extend(best);
+    }
+
+    /// The best feasible positive-traffic pair, if any.
+    fn pop_best(&mut self) -> Option<(usize, usize)> {
+        while let Some(top) = self.heap.pop() {
+            let (a, b, owner) = (top.a.0 as usize, top.b.0 as usize, top.owner as usize);
+            let owner_stamp = if owner == a {
+                top.stamps.0
+            } else {
+                top.stamps.1
+            };
+            if self.stamp[owner] != owner_stamp {
+                continue; // the owner changed (and re-pushed) or died
+            }
+            if (self.stamp[a], self.stamp[b]) == top.stamps {
+                return Some((a, b));
+            }
+            // The partner changed and took the pair over.
+            self.push_best(owner);
+        }
+        None
+    }
+
+    /// Fold cluster `b` into cluster `a` (`a < b`).
+    fn merge(&mut self, a: usize, b: usize, n_merges: u32) {
+        self.by_size.remove(&(self.size[a], a as u32));
+        self.by_size.remove(&(self.size[b], b as u32));
+        self.size[a] += self.size[b];
+        self.by_size.insert((self.size[a], a as u32));
+        self.parent[b] = a as u32;
+        self.stamp[a] += 1;
+        self.stamp[b] += 1;
+        self.age[a] = n_merges;
+        let (row_a, row_b) = (
+            std::mem::take(&mut self.rows[a]),
+            std::mem::take(&mut self.rows[b]),
+        );
+        let mut row: Vec<(u32, u64)> = Vec::with_capacity(row_a.len() + row_b.len());
+        for (j, w) in row_a.into_iter().chain(row_b) {
+            let j = find(&mut self.parent, j);
+            if j as usize == a {
+                continue; // now internal traffic
+            }
+            match self.slot[j as usize] {
+                u32::MAX => {
+                    self.slot[j as usize] = row.len() as u32;
+                    row.push((j, w));
+                }
+                p => row[p as usize].1 += w,
+            }
+        }
+        for &(j, _) in &row {
+            self.slot[j as usize] = u32::MAX;
+        }
+        self.rows[a] = row;
+        self.push_best(a);
+    }
+}
+
 /// Greedy agglomeration down to `k` clusters.
 fn greedy_agglomerate(graph: &CommGraph, k: usize, max_size: usize) -> Vec<u32> {
     let n = graph.n_ranks();
-    // cluster id per rank; ids are initially rank ids.
-    let mut cl: Vec<u32> = (0..n as u32).collect();
-    let mut size: Vec<usize> = vec![1; n];
-    // inter-cluster weights, dense (n small: 256 in the paper).
-    let mut w: Vec<u64> = graph.to_dense();
-    let mut alive: Vec<bool> = vec![true; n];
-    let mut n_clusters = n;
-    while n_clusters > k {
-        // Find the heaviest feasible pair (a < b), preferring, on ties,
-        // the pair whose merged size is smallest, then smallest indices.
-        let mut best: Option<(u64, usize, usize)> = None;
-        for a in 0..n {
-            if !alive[a] {
-                continue;
-            }
-            for b in (a + 1)..n {
-                if !alive[b] || size[a] + size[b] > max_size {
-                    continue;
-                }
-                let weight = w[a * n + b];
-                let cand = (weight, usize::MAX - (size[a] + size[b]), usize::MAX - a);
-                let cur = best
-                    .map(|(bw, a0, b0)| (bw, usize::MAX - (size[a0] + size[b0]), usize::MAX - a0));
-                if cur.is_none() || cand > cur.unwrap() {
-                    best = Some((weight, a, b));
-                }
-            }
-        }
-        let Some((_, a, b)) = best else {
+    let mut ag = Agglomeration::new(graph, max_size);
+    for n_merges in 1..=(n - k) as u32 {
+        let Some((a, b)) = ag
+            .pop_best()
+            .or_else(|| lightest_pair(&ag.by_size, max_size))
+        else {
             // No feasible merge (size bound); accept more clusters.
             break;
         };
-        // Merge b into a.
-        for j in 0..n {
-            if alive[j] && j != a && j != b {
-                w[a * n + j] += w[b * n + j];
-                w[j * n + a] = w[a * n + j];
-            }
-        }
-        size[a] += size[b];
-        alive[b] = false;
-        for c in cl.iter_mut() {
-            if *c == b as u32 {
-                *c = a as u32;
-            }
-        }
-        n_clusters -= 1;
+        ag.merge(a, b, n_merges);
     }
-    cl
+    (0..n as u32).map(|r| find(&mut ag.parent, r)).collect()
+}
+
+/// The zero-traffic fallback, used once no positive-traffic merge is
+/// feasible: every feasible pair then has zero weight, and the smallest
+/// merged size, then smallest `a`, then smallest `b` is always the first
+/// two clusters in `(size, id)` order.
+fn lightest_pair(by_size: &BTreeSet<(usize, u32)>, max_size: usize) -> Option<(usize, usize)> {
+    let mut it = by_size.iter();
+    let (&(s1, c1), &(s2, c2)) = (it.next()?, it.next()?);
+    (s1 + s2 <= max_size).then(|| (c1.min(c2) as usize, c1.max(c2) as usize))
+}
+
+/// Union-find root of `x`, halving the path on the way.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let up = parent[parent[x as usize] as usize];
+        parent[x as usize] = up;
+        x = up;
+    }
+    x
 }
 
 /// One KL refinement pass; returns true if any move was made.
 fn refine_once(graph: &CommGraph, assignment: &mut [u32], max_size: usize) -> bool {
     let n = assignment.len();
-    let mut sizes = std::collections::BTreeMap::<u32, usize>::new();
+    let mut sizes = vec![0usize; n];
     for &c in assignment.iter() {
-        *sizes.entry(c).or_default() += 1;
+        sizes[c as usize] += 1;
     }
+    // Traffic from the current rank toward each cluster; `touched` lists
+    // the clusters with a nonzero entry so resetting stays O(degree).
+    let mut toward = vec![0u64; n];
+    let mut touched: Vec<u32> = Vec::new();
     let mut moved = false;
     for r in 0..n {
-        let me = Rank(r as u32);
         let my_cluster = assignment[r];
-        if sizes[&my_cluster] == 1 {
+        if sizes[my_cluster as usize] == 1 {
             continue; // would empty a cluster
         }
-        // Traffic toward each cluster.
-        let mut toward = std::collections::BTreeMap::<u32, u64>::new();
-        for (nb, weight) in graph.neighbors(me) {
-            *toward.entry(assignment[nb.idx()]).or_default() += weight;
+        for (nb, weight) in graph.neighbors(Rank(r as u32)) {
+            let c = assignment[nb.idx()];
+            if toward[c as usize] == 0 {
+                touched.push(c);
+            }
+            toward[c as usize] += weight;
         }
-        let home = toward.get(&my_cluster).copied().unwrap_or(0);
-        // Best alternative cluster.
-        let best = toward
+        let home = toward[my_cluster as usize];
+        // Best alternative cluster: heaviest, then smallest id.
+        let best = touched
             .iter()
-            .filter(|(&c, _)| c != my_cluster && sizes[&c] < max_size)
-            .max_by_key(|(&c, &w)| (w, std::cmp::Reverse(c)));
-        if let Some((&c, &w)) = best {
+            .filter(|&&c| c != my_cluster && sizes[c as usize] < max_size)
+            .map(|&c| (toward[c as usize], Reverse(c)))
+            .max();
+        for c in touched.drain(..) {
+            toward[c as usize] = 0;
+        }
+        if let Some((w, Reverse(c))) = best {
             if w > home {
                 assignment[r] = c;
-                *sizes.get_mut(&my_cluster).unwrap() -= 1;
-                *sizes.get_mut(&c).unwrap() += 1;
+                sizes[my_cluster as usize] -= 1;
+                sizes[c as usize] += 1;
                 moved = true;
             }
         }
@@ -165,32 +318,19 @@ fn refine_once(graph: &CommGraph, assignment: &mut [u32], max_size: usize) -> bo
 
 /// Renumber cluster ids densely (0..k), ordered by smallest member rank.
 fn compact_ids(assignment: Vec<u32>) -> Vec<u32> {
-    let mut mapping = std::collections::BTreeMap::<u32, u32>::new();
+    let mut mapping = vec![u32::MAX; assignment.len()];
     let mut next = 0u32;
-    let mut out = Vec::with_capacity(assignment.len());
-    for c in assignment {
-        let id = *mapping.entry(c).or_insert_with(|| {
-            let id = next;
-            next += 1;
-            id
-        });
-        out.push(id);
-    }
-    out
-}
-
-impl CommGraph {
-    /// Dense copy of the weight matrix (partitioner workspace).
-    fn to_dense(&self) -> Vec<u64> {
-        let n = self.n_ranks();
-        let mut w = vec![0u64; n * n];
-        for i in 0..n {
-            for (j, weight) in self.neighbors(Rank(i as u32)) {
-                w[i * n + j.idx()] = weight;
+    assignment
+        .into_iter()
+        .map(|c| {
+            let id = &mut mapping[c as usize];
+            if *id == u32::MAX {
+                *id = next;
+                next += 1;
             }
-        }
-        w
-    }
+            *id
+        })
+        .collect()
 }
 
 #[cfg(test)]

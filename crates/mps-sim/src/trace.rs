@@ -220,9 +220,14 @@ impl Trace {
     /// add.
     pub fn absorb(&mut self, other: Trace) {
         assert_eq!(self.matrix.n, other.matrix.n);
-        for i in 0..self.matrix.bytes.len() {
-            self.matrix.bytes[i] += other.matrix.bytes[i];
-            self.matrix.msgs[i] += other.matrix.msgs[i];
+        // Only cells that saw a message carry anything (a zero-byte send
+        // still counts one message); skipping the rest leaves untouched
+        // pages of the destination unwritten.
+        for (i, &msgs) in other.matrix.msgs.iter().enumerate() {
+            if msgs != 0 {
+                self.matrix.bytes[i] += other.matrix.bytes[i];
+                self.matrix.msgs[i] += msgs;
+            }
         }
         for (channel, v) in other.dense {
             let prev = self.dense.insert(channel, v);
