@@ -41,6 +41,7 @@ use scenario::{
     CheckpointPolicySpec, ClusterStrategy, Executor, FailureModelSpec, Matrix, MatrixSummary,
     NetworkSpec, ProtocolSpec, StorageSpec, Suite, TopologySpec, DEFAULT_IMAGE_BYTES,
 };
+use serde_json::Value;
 use sweep_server::{Client, RunStore, Server};
 use workloads::WorkloadSpec;
 
@@ -290,13 +291,7 @@ fn service_addr(flag: Option<String>) -> String {
 
 /// Print a terminal job's summary (stderr) and records (stdout or file).
 /// Exits nonzero for a failed job so CI can gate on it.
-fn print_job_result(
-    id: u64,
-    status: &sweep_server::json::Value,
-    records: &[String],
-    record_out: Option<&str>,
-) {
-    use sweep_server::json::Value;
+fn print_job_result(id: u64, status: &Value, records: &[String], record_out: Option<&str>) {
     let state = status.get("state").and_then(Value::as_str).unwrap_or("?");
     let hits = status.get("hits").and_then(Value::as_u64).unwrap_or(0);
     let misses = status.get("misses").and_then(Value::as_u64).unwrap_or(0);
@@ -328,7 +323,6 @@ fn print_job_result(
 
 /// The client subcommands: `sweep submit/status/cancel/result/stats/shutdown`.
 fn service_command(cmd: &str, args: &[String]) {
-    use sweep_server::json::Value;
     let mut addr: Option<String> = None;
     let mut name: Option<String> = None;
     let mut priority: i64 = 0;

@@ -24,6 +24,7 @@ use scenario::{
     StorageSpec,
 };
 use serde::Serialize;
+use serde_json::Value;
 use std::time::Instant;
 use workloads::WorkloadSpec;
 
@@ -530,55 +531,41 @@ pub struct Baseline {
     pub cells: Vec<BaselineCell>,
 }
 
-/// Extract the gated fields from a `BENCH_engine.json`. The vendored
-/// serde stub only *emits* JSON (DESIGN.md §6), so the checker scans for
-/// the fields it gates on instead of parsing the full document —
-/// sufficient because the file is machine-written in a fixed field order.
+/// Extract the gated fields from a `BENCH_engine.json`. A document that
+/// does not parse yields `schema_version: None` and no cells; a cell
+/// missing a gated field is skipped (the gate then reports it as absent).
 pub fn parse_baseline(text: &str) -> Baseline {
-    fn field<'a>(chunk: &'a str, key: &str) -> Option<&'a str> {
-        let start = chunk.find(&format!("\"{key}\":"))? + key.len() + 3;
-        let rest = &chunk[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"'))
-    }
-    // `schema_version` is the report's first field, ahead of any cell.
-    let schema_version = field(text, "schema_version").and_then(|v| v.parse().ok());
-    let mut cells = Vec::new();
-    // Cells are the only objects with a "name" field.
-    for chunk in text.split("\"name\":").skip(1) {
-        let name = chunk
-            .trim_start()
-            .trim_start_matches('"')
-            .split('"')
-            .next()
-            .unwrap_or("")
-            .to_string();
-        let eps = field(chunk, "events_per_sec").and_then(|v| v.parse().ok());
-        let digest = field(chunk, "digest").and_then(|v| v.parse().ok());
-        let failures = field(chunk, "failures").and_then(|v| v.parse().ok());
-        let rolled = field(chunk, "ranks_rolled_back").and_then(|v| v.parse().ok());
-        let checkpoints = field(chunk, "checkpoints").and_then(|v| v.parse().ok());
-        let waste = field(chunk, "waste_fraction").and_then(|v| v.parse().ok());
-        if let (
-            Some(events_per_sec),
-            Some(digest),
-            Some(failures),
-            Some(ranks_rolled_back),
-            Some(checkpoints),
-            Some(waste_fraction),
-        ) = (eps, digest, failures, rolled, checkpoints, waste)
-        {
-            cells.push(BaselineCell {
-                name,
-                events_per_sec,
-                failures,
-                ranks_rolled_back,
-                checkpoints,
-                waste_fraction,
-                digest,
-            });
-        }
-    }
+    let Ok(doc) = serde_json::from_str(text) else {
+        return Baseline {
+            schema_version: None,
+            cells: Vec::new(),
+        };
+    };
+    let schema_version = doc
+        .get("schema_version")
+        .and_then(Value::as_u64)
+        .and_then(|v| u32::try_from(v).ok());
+    let cell = |c: &Value| -> Option<BaselineCell> {
+        let int = |k: &str| c.get(k).and_then(Value::as_u64);
+        // `as_f64` reads `null` as NaN; a gated float must be a number.
+        let float = |k: &str| c.get(k).and_then(Value::as_f64).filter(|x| !x.is_nan());
+        Some(BaselineCell {
+            name: c.get("name")?.as_str()?.to_owned(),
+            events_per_sec: float("events_per_sec")?,
+            failures: int("failures")?,
+            ranks_rolled_back: int("ranks_rolled_back")?,
+            checkpoints: int("checkpoints")?,
+            waste_fraction: float("waste_fraction")?,
+            digest: int("digest")?,
+        })
+    };
+    let cells = doc
+        .get("cells")
+        .and_then(Value::as_array)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(cell)
+        .collect();
     Baseline {
         schema_version,
         cells,
@@ -733,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn report_roundtrips_through_the_scanner() {
+    fn report_roundtrips_through_parse_baseline() {
         let report = report_with("cell_a", 123456.0, 0xDEAD);
         let json = serde_json::to_string(&report).unwrap();
         let parsed = parse_baseline(&json);
@@ -742,6 +729,38 @@ mod tests {
         assert_eq!(parsed.cells[0].name, "cell_a");
         assert_eq!(parsed.cells[0].digest, 0xDEAD);
         assert!((parsed.cells[0].events_per_sec - 123456.0).abs() < 1e-6);
+        assert_eq!(parse_baseline("{\"schema_version\":").schema_version, None);
+    }
+
+    #[test]
+    fn parse_baseline_ignores_field_order() {
+        let mut report = report_with("cell_a", 123456.0, 0xDEAD);
+        let mut second = report_with("cell_b", 654321.0, u64::MAX).cells;
+        second[0].failures = 3;
+        second[0].waste_fraction = 0.5;
+        report.cells.append(&mut second);
+        let json = serde_json::to_string(&report).unwrap();
+        // Move each cell's `"name"` member to the end of its object.
+        let mut doc = serde_json::from_str(&json).unwrap();
+        let Value::Object(top) = &mut doc else {
+            panic!("report is an object")
+        };
+        let (_, Value::Array(cells)) = top.iter_mut().find(|(k, _)| k == "cells").unwrap() else {
+            panic!("cells is an array")
+        };
+        for cell in cells.iter_mut() {
+            let Value::Object(members) = cell else {
+                panic!("cell is an object")
+            };
+            let name = members.remove(0);
+            assert_eq!(name.0, "name");
+            members.push(name);
+        }
+        let reordered = doc.to_json();
+        assert_ne!(reordered, json);
+        let expected = parse_baseline(&json);
+        assert_eq!(expected.cells.len(), 2);
+        assert_eq!(parse_baseline(&reordered), expected);
     }
 
     #[test]

@@ -7,8 +7,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use serde::write_json_str;
-
-use crate::json::Value;
+use serde_json::Value;
 
 /// Thin handle on a server address; connections are per-request, so a
 /// `Client` is cheap to clone around and never holds a socket open.
@@ -46,8 +45,8 @@ impl Client {
         if response.is_empty() {
             return Err("server closed the connection without responding".into());
         }
-        let v =
-            Value::parse(response.trim_end()).map_err(|e| format!("malformed response: {e}"))?;
+        let v = serde_json::from_str(response.trim_end())
+            .map_err(|e| format!("malformed response: {e}"))?;
         match v.get("ok").and_then(Value::as_bool) {
             Some(true) => Ok(v),
             _ => Err(v

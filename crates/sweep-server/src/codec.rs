@@ -1,19 +1,19 @@
 //! `RunRecord` ⇄ JSON codec with a byte-stability guarantee.
 //!
-//! The workspace's vendored `serde` only *emits* JSON, so the store
-//! persists each record as the exact string `serde_json::to_string`
-//! produced and this module supplies the missing inverse: decode the raw
-//! line back into a [`RunRecord`] through the integer-exact
-//! [`json`](crate::json) parser, then prove the round trip by
-//! re-encoding and comparing bytes ([`decode_verified`]). A record that
-//! fails the proof is rejected — the store would rather re-simulate a
-//! cell (determinism makes that safe) than ever serve a record that is
-//! not bit-identical to what the simulation wrote.
+//! The workspace's vendored `serde` has no typed deserializer, so the
+//! store persists each record as the exact string `serde_json::to_string`
+//! produced and this module supplies the missing inverse: read the raw
+//! line as an integer-exact [`serde_json::Value`], map it back into a
+//! [`RunRecord`], then prove the round trip by re-encoding and comparing
+//! bytes ([`decode_verified`]). A record that fails the proof is rejected
+//! — the store would rather re-simulate a cell (determinism makes that
+//! safe) than ever serve a record that is not bit-identical to what the
+//! simulation wrote.
 
-use crate::json::Value;
 use det_sim::{SimDuration, SimTime};
 use mps_sim::Metrics;
 use scenario::RunRecord;
+use serde_json::Value;
 
 fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
     v.get(key).ok_or_else(|| format!("missing field `{key}`"))
@@ -135,7 +135,7 @@ pub fn encode_record(record: &RunRecord) -> String {
 /// future emitter change — all as a recoverable error, never as a
 /// silently different record.
 pub fn decode_verified(raw: &str) -> Result<RunRecord, String> {
-    let v = Value::parse(raw)?;
+    let v = serde_json::from_str(raw).map_err(|e| e.to_string())?;
     let record = decode_record(&v)?;
     let reencoded = encode_record(&record);
     if reencoded != raw {

@@ -17,9 +17,8 @@
 //! * [`server`] — the resident [`Server`]: TCP line protocol and/or a
 //!   spool directory, one worker thread, atomic result publication.
 //! * [`client`] — [`Client`] for `sweep submit/status/cancel/result`.
-//! * [`json`] / [`codec`] — an integer-exact JSON parser and a verified
-//!   `RunRecord` decoder; together they close the loop the vendored
-//!   emit-only serde leaves open, with a byte-identity proof per record.
+//! * [`codec`] — a verified `RunRecord` decoder over the vendored
+//!   `serde_json::Value`, with a byte-identity proof per record.
 //!
 //! See `DESIGN.md` §2.7 for the store format, the cache-key contract,
 //! and the job lifecycle.
@@ -27,7 +26,6 @@
 pub mod client;
 pub mod codec;
 pub mod job;
-pub mod json;
 pub mod server;
 pub mod store;
 
@@ -35,3 +33,15 @@ pub use client::Client;
 pub use job::{run_job, JobQueue, JobSpec, JobState, JobStatus};
 pub use server::Server;
 pub use store::{LoadReport, RunStore, StoredRun};
+
+/// The workspace reads JSON with the vendored [`serde_json::from_str`].
+/// This module keeps the `sweep_server::json::Value` path the perfbench
+/// workspace imports, and holds the reader's unit tests: the vendored
+/// crates are not default workspace members, so a plain `cargo test`
+/// would not run tests kept there.
+pub mod json {
+    pub use serde_json::Value;
+
+    #[cfg(test)]
+    mod tests;
+}

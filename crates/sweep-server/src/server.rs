@@ -27,9 +27,9 @@ use std::time::Duration;
 
 use scenario::JsonlProgress;
 use serde::write_json_str;
+use serde_json::Value;
 
 use crate::job::{run_job, JobQueue, JobSpec, JobState};
-use crate::json::Value;
 use crate::store::RunStore;
 
 /// Poll interval for the nonblocking accept loop / spool scan.
@@ -184,7 +184,7 @@ impl Server {
     }
 
     fn dispatch(&self, line: &str) -> Result<String, String> {
-        let req = Value::parse(line).map_err(|e| format!("bad request: {e}"))?;
+        let req: Value = serde_json::from_str(line).map_err(|e| format!("bad request: {e}"))?;
         let cmd = req
             .get("cmd")
             .and_then(Value::as_str)
@@ -370,9 +370,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(RunStore::open(&dir).unwrap());
         let server = Server::new(store, None);
-        for bad in ["", "{", "{}", "{\"cmd\":\"nope\"}", "{\"cmd\":\"result\"}"] {
+        // A run of `[` deep enough to overflow a recursive reader's stack.
+        let deep = "[".repeat(100_000);
+        for bad in [
+            "",
+            "{",
+            "{}",
+            "{\"cmd\":\"nope\"}",
+            "{\"cmd\":\"result\"}",
+            &deep,
+        ] {
             let resp = server.handle_request(bad);
-            assert!(resp.starts_with("{\"ok\":false"), "`{bad}` → {resp}");
+            assert!(resp.starts_with("{\"ok\":false"), "`{bad:.40}` → {resp}");
             assert!(resp.ends_with('\n'));
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -388,18 +397,18 @@ mod tests {
         let resp = server.handle_request(
             "{\"cmd\":\"submit\",\"name\":\"t\",\"suite\":\"suite \\\"t\\\"\",\"priority\":3}",
         );
-        let v = Value::parse(resp.trim()).unwrap();
+        let v = serde_json::from_str(resp.trim()).unwrap();
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{resp}");
         let id = v.get("job").and_then(Value::as_u64).unwrap();
         let resp = server.handle_request(&format!("{{\"cmd\":\"status\",\"job\":{id}}}"));
-        let v = Value::parse(resp.trim()).unwrap();
+        let v = serde_json::from_str(resp.trim()).unwrap();
         let jobs = v.get("jobs").and_then(Value::as_array).unwrap();
         assert_eq!(jobs[0].get("state").and_then(Value::as_str), Some("queued"));
         assert_eq!(jobs[0].get("priority").and_then(Value::as_f64), Some(3.0));
         let resp = server.handle_request(&format!("{{\"cmd\":\"cancel\",\"job\":{id}}}"));
         assert!(resp.contains("\"cancelled\":true"));
         let resp = server.handle_request(&format!("{{\"cmd\":\"result\",\"job\":{id}}}"));
-        let v = Value::parse(resp.trim()).unwrap();
+        let v = serde_json::from_str(resp.trim()).unwrap();
         assert_eq!(
             v.get("status")
                 .and_then(|s| s.get("state"))

@@ -37,9 +37,9 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use scenario::{CacheKey, CachedRun, RunCache, RunRecord, ScenarioSpec};
 use serde::write_json_str;
+use serde_json::Value;
 
 use crate::codec;
-use crate::json::Value;
 
 /// On-disk line format version.
 const STORE_VERSION: u64 = 1;
@@ -157,7 +157,7 @@ impl RunStore {
 
     /// Parse + fully verify one segment line.
     fn parse_line(line: &str) -> Result<StoredRun, String> {
-        let v = Value::parse(line)?;
+        let v = serde_json::from_str(line).map_err(|e| e.to_string())?;
         let version = v
             .get("v")
             .and_then(Value::as_u64)

@@ -12,6 +12,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+use serde_json::Value;
 use sweep_server::{run_job, Client, JobQueue, JobSpec, JobState, RunStore, Server};
 
 /// 2 protocols × 2 failure models = 4 cells.
@@ -147,20 +148,12 @@ fn tcp_protocol_round_trips_submit_wait_result() {
 
     let id1 = client.submit("e2e", SUITE, 0, None).unwrap();
     let (status, first) = client.wait(id1, Duration::from_secs(120)).unwrap();
-    assert_eq!(
-        status
-            .get("state")
-            .and_then(sweep_server::json::Value::as_str),
-        Some("done")
-    );
+    assert_eq!(status.get("state").and_then(Value::as_str), Some("done"));
     assert_eq!(first.len(), 4);
 
     let id2 = client.submit("e2e", SUITE, 5, None).unwrap();
     let (status, second) = client.wait(id2, Duration::from_secs(120)).unwrap();
-    let hits = status
-        .get("hits")
-        .and_then(sweep_server::json::Value::as_u64)
-        .unwrap();
+    let hits = status.get("hits").and_then(Value::as_u64).unwrap();
     assert_eq!(hits, 4, "resubmission over TCP must be 100% hits");
     assert_eq!(first, second, "TCP-served records must be byte-identical");
 

@@ -18,12 +18,17 @@
 //! * [`Sampler`] — periodic virtual-time samples (logged bytes, in-flight
 //!   messages, queue depth, cumulative waste) as JSONL time series.
 //! * [`Fanout`] — composes several recorders behind one `Box`.
+//! * [`validate_chrome_trace`] — checks an exported trace against the
+//!   trace-event subset [`SpanRecorder`] emits. It reads the trace with
+//!   the vendored `serde_json::from_str`, the workspace's one JSON
+//!   reader; trace names are escaped with the emitter's own
+//!   `serde::write_json_str`.
 //!
 //! IDs are plain integers (`u32` rank/cluster) so this crate sits *below*
 //! the engine in the dependency graph and both the engine and the
-//! protocols can emit events without a cycle.
+//! protocols can emit events without a cycle. Besides `det-sim` it
+//! depends only on the vendored `serde`/`serde_json`.
 
-pub mod json;
 pub mod sampler;
 pub mod span;
 
